@@ -411,3 +411,86 @@ func TestHeapCensus(t *testing.T) {
 		t.Fatalf("census = %+v", c)
 	}
 }
+
+// Accesses through a heap without a hook allocate nothing: the op label
+// is kept as its parts and the op-cost sleep is an allocation-free
+// scheduler event.
+func TestAccessNilHookZeroAllocs(t *testing.T) {
+	var initAllocs, useAllocs float64
+	err := run(1, func(th *sim.Thread, h *Heap) {
+		r := h.NewRef("conn")
+		r.Init(th, "a.go:1")
+		r.Use(th, "a.go:2") // warm-up: grows the event heap
+		initAllocs = testing.AllocsPerRun(200, func() { r.Init(th, "a.go:1") })
+		useAllocs = testing.AllocsPerRun(200, func() { r.Use(th, "a.go:2") })
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if initAllocs != 0 || useAllocs != 0 {
+		t.Fatalf("allocs per access: Init %.2f, Use %.2f; want 0", initAllocs, useAllocs)
+	}
+}
+
+// The lazily formatted access label reads exactly as the eagerly
+// formatted "kind name @ site" label did, in the fault, its stacks and
+// the thread snapshots — next to a SetOp label (a task pool worker) and a
+// thread that never announced an operation.
+func TestFaultLabelsGolden(t *testing.T) {
+	h := NewHeap()
+	w := sim.NewWorld(sim.Config{Seed: 1})
+	err := w.Run(func(root *sim.Thread) {
+		var never sim.Event
+		pool := sim.NewTaskPool(root, 1, "pool")
+		pool.Submit(root, "flush", func(t *sim.Thread) { never.Wait(t) })
+		root.Spawn("idle", func(t *sim.Thread) { never.Wait(t) })
+		reader := h.NewRef("m_cache")
+		root.Spawn("reader", func(t *sim.Thread) {
+			reader.UseIfLive(t, "Cache.cs:17")
+			never.Wait(t)
+		})
+		root.Sleep(sim.Millisecond)
+		h.NewRef("m_poller").Use(root, "Poller.cs:42")
+	})
+	var f *sim.Fault
+	if !errors.As(err, &f) {
+		t.Fatalf("err = %v, want fault", err)
+	}
+	const wantErr = `fault at 1.001ms in thread 1 (main) during "use m_poller @ Poller.cs:42": ` +
+		`NullReferenceException: use of "m_poller" (obj 2) at Poller.cs:42 while reference is nil`
+	if got := f.Error(); got != wantErr {
+		t.Errorf("Error() = %q\nwant      %q", got, wantErr)
+	}
+	if want := "use m_poller @ Poller.cs:42"; f.Op != want {
+		t.Errorf("Op = %q, want %q", f.Op, want)
+	}
+	wantStacks := []string{
+		"thread 1 (main) @ use m_poller @ Poller.cs:42",
+		"thread 2 (pool-worker0) @ task flush",
+		"thread 4 (idle) @ ",
+		"thread 5 (reader) @ use m_cache @ Cache.cs:17",
+	}
+	if len(f.Stacks) != len(wantStacks) {
+		t.Fatalf("Stacks = %q, want %q", f.Stacks, wantStacks)
+	}
+	for i := range wantStacks {
+		if f.Stacks[i] != wantStacks[i] {
+			t.Errorf("Stacks[%d] = %q, want %q", i, f.Stacks[i], wantStacks[i])
+		}
+	}
+	wantLastOps := map[int]string{
+		1: "use m_poller @ Poller.cs:42",
+		2: "task flush",
+		4: "",
+		5: "use m_cache @ Cache.cs:17",
+	}
+	infos := w.Threads()
+	if len(infos) != len(wantLastOps) {
+		t.Fatalf("Threads() = %+v, want %d threads", infos, len(wantLastOps))
+	}
+	for _, ti := range infos {
+		if want, ok := wantLastOps[ti.ID]; !ok || ti.LastOp != want {
+			t.Errorf("thread %d LastOp = %q, want %q", ti.ID, ti.LastOp, want)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrJournalClosed):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrTerminal):
 		code = http.StatusConflict

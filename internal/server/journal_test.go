@@ -28,19 +28,23 @@ func TestJournalRoundTrip(t *testing.T) {
 		{Type: "result", Job: "job-1", Index: 1, Result: &ProgramResult{Index: 1, Program: "p1"}},
 		{Type: "state", Job: "job-1", State: StateCompleted},
 	}
+	var spans []Span
 	for _, r := range want {
-		if err := j.Append(r); err != nil {
+		sp, err := j.Append(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		spans = append(spans, sp)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, got, err := OpenJournal(path)
+	j2, got, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j2.Close()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
@@ -51,6 +55,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if got[1].Result == nil || got[1].Result.Program != "p0" {
 		t.Fatal("result payload lost in round trip")
+	}
+	// Replay reports the span Append reported, and the span reads the
+	// record back.
+	for i, e := range got {
+		if e.Span != spans[i] {
+			t.Fatalf("record %d replayed at %+v, appended at %+v", i, e.Span, spans[i])
+		}
+	}
+	if r, err := j2.Read(got[2].Span); err != nil || r.Result == nil || r.Result.Program != "p1" {
+		t.Fatalf("Read(%+v) = %+v, %v; want result p1", got[2].Span, r, err)
 	}
 }
 
@@ -63,7 +77,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := smallSpec(1, 2)
-	if err := j.Append(Record{Type: "job", Job: "job-1", Spec: &spec}); err != nil {
+	if _, err := j.Append(Record{Type: "job", Job: "job-1", Spec: &spec}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -82,9 +96,13 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if len(recs) != 1 || recs[0].Type != "job" {
 		t.Fatalf("replayed %+v, want the one intact job record", recs)
 	}
-	// The journal must append cleanly after the cut.
-	if err := j2.Append(Record{Type: "state", Job: "job-1", State: StateCancelled}); err != nil {
+	// The journal must append cleanly after the cut, at the cut.
+	sp, err := j2.Append(Record{Type: "state", Job: "job-1", State: StateCancelled})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if r, err := j2.Read(sp); err != nil || r.State != StateCancelled {
+		t.Fatalf("post-truncation record reads back %+v, %v", r, err)
 	}
 	j2.Close()
 	_, recs, err = OpenJournal(path)
@@ -109,13 +127,44 @@ func TestJournalMidFileCorruptionErrors(t *testing.T) {
 	}
 }
 
-// A nil journal (in-memory mode) accepts appends and closes as no-ops.
-func TestNilJournalIsNoOp(t *testing.T) {
-	var j *Journal
-	if err := j.Append(Record{Type: "state"}); err != nil {
+// Reads of committed lines run concurrently with appends, for file and
+// in-memory journals alike: every span reads back the record written at
+// it. Run under -race.
+func TestJournalReadWhileAppending(t *testing.T) {
+	file, _, err := OpenJournal(tmpJournal(t))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	for _, j := range []*Journal{file, newMemJournal()} {
+		const n = 200
+		spans := make(chan Span, n)
+		go func() {
+			defer close(spans)
+			for i := 0; i < n; i++ {
+				sp, err := j.Append(Record{Type: "result", Job: "job-1", Index: i, Result: &ProgramResult{Index: i}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				spans <- sp
+			}
+		}()
+		i := 0
+		for sp := range spans {
+			r, err := j.Read(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Result == nil || r.Result.Index != i {
+				t.Fatalf("span %+v read back %+v, want result %d", sp, r, i)
+			}
+			i++
+		}
+		if i != n {
+			t.Fatalf("read %d records, want %d", i, n)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -23,8 +23,8 @@ var (
 
 // Options configures a Manager.
 type Options struct {
-	// Journal is the JSONL journal path. Empty runs in-memory only (no
-	// restart resume).
+	// Journal is the JSONL journal path. Empty keeps the journal in
+	// memory (no restart resume).
 	Journal string
 	// Workers bounds the per-job corpus parallelism AND, via a shared
 	// semaphore, the global number of programs in flight across all
@@ -61,13 +61,16 @@ func (o Options) withDefaults() Options {
 }
 
 // job is the manager's internal job record. The manager's mutex guards
-// every field; results grow append-only so snapshot slices stay valid.
+// every field; spans grow append-only so snapshot slices stay valid.
 type job struct {
-	id        string
-	seq       int // admission order, breaks priority ties
-	spec      JobSpec
-	state     JobState
-	results   []*ProgramResult
+	id    string
+	seq   int // admission order, breaks priority ties
+	spec  JobSpec
+	state JobState
+	// spans locates each committed program's result line in the journal,
+	// in index order. Results are read back from there on demand, so a
+	// long-lived manager keeps 16 bytes per program, not the result.
+	spans     []Span
 	exposed   int
 	violation int
 	resumed   bool
@@ -83,7 +86,7 @@ type job struct {
 	ctl *control.Controller
 }
 
-func (j *job) cursor() int { return len(j.results) }
+func (j *job) cursor() int { return len(j.spans) }
 
 // Manager admits, schedules, journals, and serves campaign jobs. All
 // jobs share one sched lifecycle and one global worker semaphore, so a
@@ -110,10 +113,11 @@ type Manager struct {
 func New(opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
 	m := &Manager{
-		opts:   opts,
-		life:   sched.NewLifecycle(),
-		shared: make(chan struct{}, opts.Workers),
-		jobs:   make(map[string]*job),
+		opts:    opts,
+		journal: newMemJournal(),
+		life:    sched.NewLifecycle(),
+		shared:  make(chan struct{}, opts.Workers),
+		jobs:    make(map[string]*job),
 	}
 	if opts.Journal != "" {
 		jr, recs, err := OpenJournal(opts.Journal)
@@ -135,8 +139,8 @@ func New(opts Options) (*Manager, error) {
 // replay rebuilds job state from journal records. Commit order in the
 // journal is ascending and contiguous per job, which replay verifies —
 // a gap means the journal was edited or the commit contract broke.
-func (m *Manager) replay(recs []Record) error {
-	for _, r := range recs {
+func (m *Manager) replay(ents []Entry) error {
+	for _, r := range ents {
 		switch r.Type {
 		case "job":
 			if r.Spec == nil {
@@ -164,7 +168,7 @@ func (m *Manager) replay(recs []Record) error {
 			if r.Result == nil || r.Result.Index != j.cursor() {
 				return fmt.Errorf("server: journal for %s not contiguous at index %d", r.Job, j.cursor())
 			}
-			j.results = append(j.results, r.Result)
+			j.spans = append(j.spans, r.Span)
 			j.tally(r.Result)
 		case "state":
 			j := m.jobs[r.Job]
@@ -219,7 +223,7 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	if spec.Adaptive {
 		j.ctl = control.New(control.Config{})
 	}
-	if err := m.journal.Append(Record{Type: "job", Job: j.id, Spec: &spec}); err != nil {
+	if _, err := m.journal.Append(Record{Type: "job", Job: j.id, Spec: &spec}); err != nil {
 		return JobStatus{}, err
 	}
 	m.jobs[j.id] = j
@@ -325,9 +329,10 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 
 // commit journals one program result, then publishes it to pollers. The
 // journal write comes first: a result a client has seen can never be
-// lost to a crash.
+// lost to a crash. The manager keeps only the line's span.
 func (m *Manager) commit(j *job, pr *ProgramResult) error {
-	if err := m.journal.Append(Record{Type: "result", Job: j.id, Index: pr.Index, Result: pr}); err != nil {
+	sp, err := m.journal.Append(Record{Type: "result", Job: j.id, Index: pr.Index, Result: pr})
+	if err != nil {
 		return err
 	}
 	m.mu.Lock()
@@ -335,7 +340,7 @@ func (m *Manager) commit(j *job, pr *ProgramResult) error {
 	if pr.Index != j.cursor() {
 		return fmt.Errorf("server: commit out of order: index %d at cursor %d", pr.Index, j.cursor())
 	}
-	j.results = append(j.results, pr)
+	j.spans = append(j.spans, sp)
 	j.tally(pr)
 	j.bump()
 	return nil
@@ -348,7 +353,7 @@ func (m *Manager) finishLocked(j *job, s JobState, errmsg string) {
 	j.cancel = nil
 	// Journal failures on the terminal record are unrecoverable but must
 	// not wedge the job in memory; the restart will redo the tail.
-	_ = m.journal.Append(Record{Type: "state", Job: j.id, State: s, Error: errmsg})
+	_, _ = m.journal.Append(Record{Type: "state", Job: j.id, State: s, Error: errmsg})
 	j.bump()
 }
 
@@ -449,7 +454,9 @@ type ResultsPage struct {
 
 // Results returns the job's results after the given cursor, blocking up
 // to wait for new commits when none are ready (long-poll). wait <= 0
-// returns immediately.
+// returns immediately. Results are read back from the journal, so after
+// Drain a page that would carry results fails with ErrJournalClosed;
+// Status and List keep answering.
 func (m *Manager) Results(ctx context.Context, id string, after int, wait time.Duration) (ResultsPage, error) {
 	if after < 0 {
 		after = 0
@@ -463,13 +470,21 @@ func (m *Manager) Results(ctx context.Context, id string, after int, wait time.D
 			return ResultsPage{}, ErrNotFound
 		}
 		page := ResultsPage{Job: id, State: j.state, After: after, Next: after}
+		var spans []Span
 		if after < j.cursor() {
-			page.Results = j.results[after:j.cursor():j.cursor()]
-			page.Next = after + len(page.Results)
+			spans = j.spans[after:j.cursor():j.cursor()]
+			page.Next = after + len(spans)
 		}
 		page.Done = j.state.terminal() && page.Next >= j.cursor()
 		ch := j.notify
 		m.mu.Unlock()
+
+		if len(spans) > 0 {
+			var err error
+			if page.Results, err = m.readResults(spans); err != nil {
+				return ResultsPage{}, err
+			}
+		}
 
 		if len(page.Results) > 0 || page.Done || wait <= 0 {
 			return page, nil
@@ -489,6 +504,22 @@ func (m *Manager) Results(ctx context.Context, id string, after int, wait time.D
 			return page, nil
 		}
 	}
+}
+
+// readResults reads committed results back from the journal.
+func (m *Manager) readResults(spans []Span) ([]*ProgramResult, error) {
+	out := make([]*ProgramResult, len(spans))
+	for i, sp := range spans {
+		r, err := m.journal.Read(sp)
+		if err != nil {
+			return nil, fmt.Errorf("server: reading result at journal offset %d: %w", sp.Off, err)
+		}
+		if r.Result == nil {
+			return nil, fmt.Errorf("server: journal line at %d is not a result", sp.Off)
+		}
+		out[i] = r.Result
+	}
+	return out, nil
 }
 
 // Drain stops the manager for shutdown: no new submissions, no new

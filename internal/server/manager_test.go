@@ -2,9 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -464,6 +470,10 @@ func TestHardKillJournalSnapshotResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCursor(t, m1, st.ID, 3) // 0..2 committed, 3 held in flight
+	before, err := m1.Results(context.Background(), st.ID, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// "SIGKILL": the journal as it exists this instant, nothing flushed,
 	// no terminal records, the in-flight program never committed.
@@ -510,8 +520,153 @@ func TestHardKillJournalSnapshotResumes(t *testing.T) {
 	if len(seen) != programs {
 		t.Fatalf("final corpus has %d unique programs, want %d", len(seen), programs)
 	}
+	// The restarted manager pages back exactly what the killed one had
+	// served for the committed prefix.
+	if len(before.Results) != 3 {
+		t.Fatalf("pre-kill page has %d results, want 3", len(before.Results))
+	}
+	for i, want := range before.Results {
+		if got := page.Results[i]; !reflect.DeepEqual(got, want) {
+			t.Errorf("result %d after restart = %+v, before kill = %+v", i, got, want)
+		}
+	}
 
 	// Let the first manager unwind cleanly.
 	release()
 	m1.Drain(context.Background())
+}
+
+// pageAll collects a job's results a few at a time, as a polling client
+// would.
+func pageAll(t *testing.T, m *Manager, id string) []*ProgramResult {
+	t.Helper()
+	var all []*ProgramResult
+	for after := 0; ; {
+		page, err := m.Results(context.Background(), id, after, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, page.Results...)
+		if page.Done {
+			return all
+		}
+		if page.Next == after {
+			t.Fatalf("results page at %d made no progress and is not done", after)
+		}
+		after = page.Next
+	}
+}
+
+// Without a journal path the manager journals in memory and serves the
+// same results, field by field, as a manager journaling to a file.
+func TestJournalLessManagerServesResults(t *testing.T) {
+	results := func(opts Options) []*ProgramResult {
+		m, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Drain(context.Background())
+		st, err := m.Submit(smallSpec(410, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, st.ID, StateCompleted)
+		return pageAll(t, m, st.ID)
+	}
+	mem := results(Options{Workers: 1})
+	file := results(Options{Workers: 1, Journal: filepath.Join(t.TempDir(), "journal.jsonl")})
+	if len(mem) != 3 {
+		t.Fatalf("journal-less manager served %d results, want 3", len(mem))
+	}
+	for i := range mem {
+		checkResult(t, mem[i], i, 410+int64(i))
+		if !reflect.DeepEqual(mem[i], file[i]) {
+			t.Errorf("result %d: in-memory journal %+v, file journal %+v", i, mem[i], file[i])
+		}
+	}
+}
+
+// Results are read back from the journal, which Drain closes: afterwards
+// a page that would carry results fails with ErrJournalClosed (HTTP 503),
+// while a poll at the cursor and Status still answer.
+func TestResultsAfterDrain(t *testing.T) {
+	for _, journal := range []string{"", filepath.Join(t.TempDir(), "journal.jsonl")} {
+		m, err := New(Options{Workers: 1, Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Submit(smallSpec(420, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, st.ID, StateCompleted)
+		if err := m.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Results(context.Background(), st.ID, 0, 0); !errors.Is(err, ErrJournalClosed) {
+			t.Errorf("journal %q: Results after Drain = %v, want ErrJournalClosed", journal, err)
+		}
+		page, err := m.Results(context.Background(), st.ID, 2, 0)
+		if err != nil || !page.Done || len(page.Results) != 0 {
+			t.Errorf("journal %q: poll at the cursor after Drain = %+v, %v; want a done, empty page", journal, page, err)
+		}
+		if got, err := m.Status(st.ID); err != nil || got.State != StateCompleted || got.Cursor != 2 {
+			t.Errorf("journal %q: Status after Drain = %+v, %v", journal, got, err)
+		}
+		rec := httptest.NewRecorder()
+		m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+st.ID+"/results", nil))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("journal %q: GET results after Drain = %d, want 503", journal, rec.Code)
+		}
+	}
+}
+
+// A long-lived manager keeps at most 64 bytes of heap per committed
+// program: the result lives in the journal, not in memory. The gate
+// commits 4000 copies of real program results through a file journal
+// and measures the live heap before and after. (An in-memory journal
+// keeps each result's line by design.)
+func TestResultsRetentionGate(t *testing.T) {
+	m, err := New(Options{Workers: 1, Journal: filepath.Join(t.TempDir(), "journal.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	st, err := m.Submit(smallSpec(430, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateCompleted)
+	proto := pageAll(t, m, st.ID)
+
+	const programs = 4000
+	const maxBytesPerProgram = 64
+	j := &job{id: "retention", notify: make(chan struct{})}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	for i := 0; i < programs; i++ {
+		// A copy that shares no memory with its prototype, as each
+		// program's own result would.
+		pr := *proto[i%len(proto)]
+		pr.Index = i
+		pr.Program = strings.Clone(pr.Program)
+		pr.Size = strings.Clone(pr.Size)
+		pr.Outcomes = append([]BugResult(nil), pr.Outcomes...)
+		pr.Violations = append([]string(nil), pr.Violations...)
+		if err := m.commit(j, &pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growth := heap() - before
+	runtime.KeepAlive(j)
+	t.Logf("heap growth %d B over %d programs (%.1f B/program)", growth, programs, float64(growth)/programs)
+	if growth > programs*maxBytesPerProgram {
+		t.Fatalf("heap grew %.1f B per committed program, want <= %d", float64(growth)/programs, maxBytesPerProgram)
+	}
 }

@@ -46,8 +46,12 @@ type Thread struct {
 	state   threadState
 	resume  chan resumeMsg
 	tls     map[TLSKey]any
-	op      string
 	wakeGen uint64
+
+	// op is the last announced label. An access label (opAccess) is kept
+	// as its three parts — op holds the kind — and formatted when read.
+	op, opName, opSite string
+	opAccess           bool
 
 	joiners []*Thread
 }
@@ -69,10 +73,23 @@ func (t *Thread) Now() Time { return t.w.now }
 
 // SetOp announces a human-readable label for the thread's current operation;
 // it appears in fault stacks and thread snapshots.
-func (t *Thread) SetOp(op string) { t.op = op }
+func (t *Thread) SetOp(op string) { t.op, t.opAccess = op, false }
+
+// SetAccessOp announces a memory access as the current operation. The
+// label reads "kind name @ site", but it is only formatted when read
+// (Op, fault stacks, thread snapshots), so announcing costs no allocation
+// on the per-access hot path.
+func (t *Thread) SetAccessOp(kind, name, site string) {
+	t.op, t.opName, t.opSite, t.opAccess = kind, name, site, true
+}
 
 // Op returns the last announced operation label.
-func (t *Thread) Op() string { return t.op }
+func (t *Thread) Op() string {
+	if !t.opAccess {
+		return t.op
+	}
+	return t.op + " " + t.opName + " @ " + t.opSite
+}
 
 // TLS returns the thread-local value stored under key, or nil.
 func (t *Thread) TLS(key TLSKey) any { return t.tls[key] }
@@ -94,20 +111,29 @@ func (t *Thread) run(fn func(*Thread)) {
 		if r := recover(); r != nil {
 			if _, ok := r.(killSentinel); !ok && t.w.fault == nil {
 				// A user panic inside a thread is an unhandled exception.
-				t.w.fault = &Fault{
-					Err:    fmt.Errorf("panic: %v", r),
-					Thread: t.id,
-					Name:   t.name,
-					T:      t.w.now,
-					Op:     t.op,
-					Stacks: t.w.stacks(t),
-				}
+				t.w.fault = t.newFault(fmt.Errorf("panic: %v", r))
 			}
 		}
 		t.finish()
-		t.w.parkCh <- struct{}{}
+		if t.w.stopping {
+			t.w.parkCh <- struct{}{}
+			return
+		}
+		t.w.passBaton(t)
 	}()
 	fn(t)
+}
+
+// newFault captures the world's state at a fault raised by t.
+func (t *Thread) newFault(err error) *Fault {
+	return &Fault{
+		Err:    err,
+		Thread: t.id,
+		Name:   t.name,
+		T:      t.w.now,
+		Op:     t.Op(),
+		Stacks: t.w.stacks(t),
+	}
 }
 
 // finish marks the thread done and wakes joiners.
@@ -128,11 +154,17 @@ func (t *Thread) finish() {
 	t.joiners = nil
 }
 
-// park yields the baton to the scheduler and blocks until resumed.
-// The caller must have arranged for the thread to be woken (scheduled or
-// registered on a primitive's wait list) beforehand.
+// park gives up the baton and blocks until resumed. The caller must have
+// arranged for the thread to be woken (scheduled or registered on a
+// primitive's wait list) beforehand. The parking thread runs the scheduler
+// step itself; if it is its own next event it returns at once. While the
+// world is stopping, park reports to killAll's handshake instead.
 func (t *Thread) park() {
-	t.w.parkCh <- struct{}{}
+	if t.w.stopping {
+		t.w.parkCh <- struct{}{}
+	} else if t.w.passBaton(t) {
+		return
+	}
 	msg := <-t.resume
 	if msg.kill {
 		panic(killSentinel{})
@@ -204,14 +236,7 @@ func (t *Thread) Throw(err error) {
 		err = errors.New("sim: Throw(nil)")
 	}
 	if t.w.fault == nil {
-		t.w.fault = &Fault{
-			Err:    err,
-			Thread: t.id,
-			Name:   t.name,
-			T:      t.w.now,
-			Op:     t.op,
-			Stacks: t.w.stacks(t),
-		}
+		t.w.fault = t.newFault(err)
 	}
 	panic(killSentinel{})
 }

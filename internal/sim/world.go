@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,11 +77,14 @@ type World struct {
 	queue    eventQueue
 	threads  map[int]*Thread
 	alive    int
-	current  *Thread
 	fault    *Fault
 	stopping bool
 	syncObs  SyncObserver
 
+	// done carries the run's outcome from the thread that detected it
+	// back to Run. parkCh is killAll's handshake: a thread unwinding
+	// while stopping is set reports there instead of handing off.
+	done   chan error
 	parkCh chan struct{}
 }
 
@@ -95,6 +97,7 @@ func NewWorld(cfg Config) *World {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		threads: make(map[int]*Thread),
+		done:    make(chan error),
 		parkCh:  make(chan struct{}),
 	}
 }
@@ -129,6 +132,11 @@ func (w *World) Jitter(d Duration) Duration {
 // Run creates the root thread executing main and drives the world until all
 // threads finish, a thread faults, the world deadlocks, or a limit trips.
 // It returns nil on clean completion; a *Fault satisfies errors.As.
+//
+// Run itself only starts the first thread: from then on the baton passes
+// directly between thread goroutines. A thread that parks picks the next
+// event itself (step) and resumes that thread; whichever thread detects
+// the end of the run reports the outcome to Run on w.done.
 func (w *World) Run(main func(*Thread)) error {
 	if w.nextTID != 0 {
 		return errors.New("sim: World.Run called twice")
@@ -136,27 +144,37 @@ func (w *World) Run(main func(*Thread)) error {
 	root := w.newThread(nil, "main", main)
 	w.schedule(root, 0)
 
-	var err error
+	next, err := w.step()
+	if next != nil {
+		w.handoff(next)
+		err = <-w.done
+	}
+	w.killAll()
+	return err
+}
+
+// step pops the next runnable event and returns its thread, advancing
+// virtual time to its wake. When the run is over it returns a nil thread
+// and the run's outcome (nil on clean completion). Every termination
+// check happens here, between two scheduler events.
+func (w *World) step() (*Thread, error) {
 	for {
 		if w.fault != nil {
-			err = w.fault
-			break
+			return nil, w.fault
 		}
 		if w.events >= w.cfg.MaxEvents {
-			err = ErrEventLimit
-			break
+			return nil, ErrEventLimit
 		}
 		if w.canceled() {
-			err = ErrCanceled
-			break
+			return nil, ErrCanceled
 		}
-		if w.queue.Len() == 0 {
+		if len(w.queue.items) == 0 {
 			if w.alive > 0 {
-				err = ErrDeadlock
+				return nil, ErrDeadlock
 			}
-			break
+			return nil, nil
 		}
-		it := heap.Pop(&w.queue).(*eventItem)
+		it := w.queue.pop()
 		if it.t.state == stateDone || it.gen != it.t.wakeGen {
 			// Stale entry: the thread finished, or was rescheduled after
 			// this entry was pushed (timed waits push a deadline wake that
@@ -168,13 +186,34 @@ func (w *World) Run(main func(*Thread)) error {
 			w.now = it.wake
 		}
 		if w.cfg.MaxTime > 0 && w.now > Time(w.cfg.MaxTime) {
-			err = ErrTimeout
-			break
+			return nil, ErrTimeout
 		}
-		w.resume(it.t, resumeMsg{})
+		return it.t, nil
 	}
-	w.killAll()
-	return err
+}
+
+// passBaton gives up the baton of the calling thread, which has either parked
+// or finished: it steps to the next event and resumes that thread, or
+// reports the run's outcome to Run. It returns true when the next event is
+// self, which then simply keeps running — no goroutine switch.
+func (w *World) passBaton(self *Thread) bool {
+	next, err := w.step()
+	switch {
+	case next == nil:
+		w.done <- err
+	case next == self:
+		next.state = stateRunning
+		return true
+	default:
+		w.handoff(next)
+	}
+	return false
+}
+
+// handoff passes the baton to t.
+func (w *World) handoff(t *Thread) {
+	t.state = stateRunning
+	t.resume <- resumeMsg{}
 }
 
 // canceled reports whether Config.Cancel has fired.
@@ -190,31 +229,19 @@ func (w *World) canceled() bool {
 	}
 }
 
-// resume hands the baton to t and waits until it parks again.
-func (w *World) resume(t *Thread, msg resumeMsg) {
-	w.current = t
-	t.state = stateRunning
-	t.resume <- msg
-	<-w.parkCh
-	w.current = nil
-}
-
-// killAll unwinds every live thread so Run leaks no goroutines.
+// killAll unwinds every live thread so Run leaks no goroutines. Each
+// kill is a handshake: the thread unwinds and reports on parkCh. A thread
+// that parks again while unwinding (a deferred Sleep) is killed again, and
+// threads spawned during unwinding are reached too, since ids only grow.
 func (w *World) killAll() {
 	w.stopping = true
-	ids := make([]int, 0, len(w.threads))
-	for id, t := range w.threads {
-		if t.state != stateDone {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
+	for id := 1; id <= w.nextTID; id++ {
 		t := w.threads[id]
-		if t.state == stateDone {
-			continue
+		for t != nil && t.state != stateDone {
+			t.state = stateRunning
+			t.resume <- resumeMsg{kill: true}
+			<-w.parkCh
 		}
-		w.resume(t, resumeMsg{kill: true})
 	}
 }
 
@@ -228,7 +255,7 @@ func (w *World) schedule(t *Thread, wake Time) {
 	}
 	t.state = stateRunnable
 	t.wakeGen++
-	heap.Push(&w.queue, &eventItem{wake: wake, prio: w.rng.Uint64(), seq: w.queue.nextSeq(), gen: t.wakeGen, t: t})
+	w.queue.push(eventItem{wake: wake, prio: w.rng.Uint64(), seq: w.queue.nextSeq(), gen: t.wakeGen, t: t})
 }
 
 func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread {
@@ -260,7 +287,7 @@ func (w *World) newThread(parent *Thread, name string, fn func(*Thread)) *Thread
 func (w *World) stacks(first *Thread) []string {
 	var out []string
 	add := func(t *Thread) {
-		out = append(out, fmt.Sprintf("thread %d (%s) @ %s", t.id, t.name, t.op))
+		out = append(out, fmt.Sprintf("thread %d (%s) @ %s", t.id, t.name, t.Op()))
 	}
 	add(first)
 	ids := make([]int, 0, len(w.threads))
@@ -288,7 +315,7 @@ func (w *World) Threads() []ThreadInfo {
 	out := make([]ThreadInfo, 0, len(ids))
 	for _, id := range ids {
 		t := w.threads[id]
-		out = append(out, ThreadInfo{ID: t.id, Parent: t.parent, Name: t.name, Done: t.state == stateDone, LastOp: t.op})
+		out = append(out, ThreadInfo{ID: t.id, Parent: t.parent, Name: t.name, Done: t.state == stateDone, LastOp: t.Op()})
 	}
 	return out
 }
@@ -311,17 +338,18 @@ type eventItem struct {
 	t    *Thread
 }
 
+// eventQueue is a binary min-heap of eventItems held by value, so pushing
+// an event allocates nothing once the backing array has grown. The order
+// on (wake, prio, seq) is total — seq is unique — so the pop sequence is
+// fixed by the pushes alone, independent of the heap's internal layout.
 type eventQueue struct {
-	items []*eventItem
+	items []eventItem
 	seq   uint64
 }
 
 func (q *eventQueue) nextSeq() uint64 { q.seq++; return q.seq }
 
-func (q *eventQueue) Len() int { return len(q.items) }
-
-func (q *eventQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
+func (a *eventItem) less(b *eventItem) bool {
 	if a.wake != b.wake {
 		return a.wake < b.wake
 	}
@@ -331,15 +359,41 @@ func (q *eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
+func (q *eventQueue) push(it eventItem) {
+	q.items = append(q.items, it)
+	h := q.items
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
 
-func (q *eventQueue) Push(x any) { q.items = append(q.items, x.(*eventItem)) }
-
-func (q *eventQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
+// pop removes and returns the least item; the queue must be non-empty.
+func (q *eventQueue) pop() eventItem {
+	h := q.items
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = eventItem{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(&h[c]) {
+			c = r
+		}
+		if !h[c].less(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	q.items = h
+	return top
 }

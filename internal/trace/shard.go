@@ -2,16 +2,21 @@ package trace
 
 import "sync/atomic"
 
-// shardChunkEvents is the fixed chunk size of a Shard. At 1024 events a
-// chunk is ~72 KiB on 64-bit platforms: large enough that the amortized
-// allocation cost of recording drops to ~1/1024 allocs per event, small
-// enough that a short run does not over-commit memory.
+// shardChunkEvents is the chunk size of a Shard. At 1024 events a chunk is
+// ~72 KiB on 64-bit platforms: large enough that the amortized allocation
+// cost of recording drops to ~1/1024 allocs per event.
 const shardChunkEvents = 1024
+
+// shardFirstChunkEvents sizes a retaining shard's first chunk. Most
+// recording threads log a few dozen events in a run (a whole preparation
+// run of a planted-bug test records ~72), so a full-size first chunk per
+// thread would dominate the bytes a run allocates.
+const shardFirstChunkEvents = 64
 
 // Shard is a single-writer chunked event buffer: the per-thread building
 // block of the Recorder and of the live runtime's per-goroutine trace
-// shards. Events are appended into fixed-size chunks; once a chunk fills it
-// is sealed and a fresh one is allocated, so the steady-state cost of
+// shards. Events are appended into chunks; once a chunk fills it is sealed
+// and a fresh one is allocated, so the steady-state cost of
 // Append is one slot store — no per-event allocation and no grow-by-copy of
 // previously recorded events (the failure mode of a single append-grown
 // slice, which re-copies the whole history every doubling).
@@ -19,6 +24,9 @@ const shardChunkEvents = 1024
 // Clock pointers are stored as-is: vclock.Clock is immutable, so sharing
 // the pointer across every event a thread records between two forks is
 // safe and keeps chunks compact.
+//
+// A retaining shard starts with a small first chunk (shardFirstChunkEvents)
+// and continues in full-size ones, so short runs stay small.
 //
 // A Shard must only be appended to by one writer at a time; merging
 // (AppendTo) may happen on another thread once the writer has stopped. The
@@ -37,8 +45,8 @@ const shardChunkEvents = 1024
 //     whose leaked goroutines cannot be killed but must not keep feeding
 //     events into a shard the detector has walked away from.
 type Shard struct {
-	full [][]Event // sealed chunks, each exactly shardChunkEvents long
-	cur  []Event   // open chunk being filled; cap is shardChunkEvents
+	full [][]Event // sealed chunks, each filled to capacity
+	cur  []Event   // open chunk being filled
 
 	// OnChunk, when non-nil, receives every filled chunk in append order
 	// (called from the writer goroutine); the shard retains nothing. Set
@@ -56,8 +64,8 @@ type Shard struct {
 	dropped atomic.Int64
 }
 
-// Append records one event. Amortized zero-allocation: only every
-// shardChunkEvents-th call allocates (a fresh chunk). It reports whether
+// Append records one event. Amortized zero-allocation: only a filled chunk
+// makes the call allocate (a fresh chunk). It reports whether
 // the event was recorded — false once the shard has been Sealed, in which
 // case the event is dropped and counted instead.
 func (s *Shard) Append(e Event) bool {
@@ -69,14 +77,17 @@ func (s *Shard) Append(e Event) bool {
 		return false
 	}
 	if len(s.cur) == cap(s.cur) {
+		size := shardChunkEvents
 		if s.cur != nil {
 			if s.OnChunk != nil {
 				s.OnChunk(s.cur)
 			} else {
 				s.full = append(s.full, s.cur)
 			}
+		} else if s.OnChunk == nil {
+			size = shardFirstChunkEvents
 		}
-		s.cur = make([]Event, 0, shardChunkEvents)
+		s.cur = make([]Event, 0, size)
 	}
 	s.cur = append(s.cur, e)
 	return true
@@ -111,7 +122,11 @@ func (s *Shard) Flush() {
 // Len reports the number of events currently retained by the shard (with
 // OnChunk set, filled chunks are handed off and no longer counted here).
 func (s *Shard) Len() int {
-	return len(s.full)*shardChunkEvents + len(s.cur)
+	n := len(s.cur)
+	for _, c := range s.full {
+		n += len(c)
+	}
+	return n
 }
 
 // AppendTo flushes the shard's retained events, in append order, onto dst

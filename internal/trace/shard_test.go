@@ -135,3 +135,34 @@ func TestShardOnChunkStreaming(t *testing.T) {
 		t.Fatalf("Flush on empty open chunk emitted a chunk")
 	}
 }
+
+// A retaining shard starts with a small first chunk and continues in
+// full-size ones; Len and AppendTo see every event across the mixed
+// sizes. A streaming shard's chunks are all full-size.
+func TestShardFirstChunkSmall(t *testing.T) {
+	var s Shard
+	n := shardFirstChunkEvents + shardChunkEvents + 5
+	for i := 0; i < n; i++ {
+		s.Append(Event{Seq: i, Obj: ObjID(i)})
+		if i == 0 && cap(s.cur) != shardFirstChunkEvents {
+			t.Fatalf("first chunk holds %d events, want %d", cap(s.cur), shardFirstChunkEvents)
+		}
+	}
+	if len(s.full) != 2 || len(s.full[0]) != shardFirstChunkEvents || len(s.full[1]) != shardChunkEvents {
+		t.Fatalf("sealed chunk sizes %d, want [%d %d]", len(s.full), shardFirstChunkEvents, shardChunkEvents)
+	}
+	if s.Len() != n {
+		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	for i, e := range s.AppendTo(nil) {
+		if e.Seq != i {
+			t.Fatalf("event %d has Seq %d", i, e.Seq)
+		}
+	}
+
+	streaming := Shard{OnChunk: func([]Event) {}}
+	streaming.Append(Event{})
+	if cap(streaming.cur) != shardChunkEvents {
+		t.Fatalf("streaming first chunk holds %d events, want %d", cap(streaming.cur), shardChunkEvents)
+	}
+}

@@ -1,12 +1,10 @@
 package workload
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"waffle/internal/live"
-	"waffle/internal/trace"
 )
 
 // LiveBody materializes the spec as a live scenario body — the wall-clock
@@ -36,28 +34,22 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 		t.Sleep(time.Duration(d) * time.Microsecond)
 	}
 	return func(root *live.Thread, h *live.Heap) {
-		site := func(parts ...any) trace.SiteID {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return trace.SiteID(label)
-		}
+		ls := s.labels()
 		spacing := int(s.Spacing)
 
 		preFork := make([]*live.Ref, s.PreForkObjs)
 		for i := range preFork {
-			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
-			preFork[i].Init(root, site("prefork", i, "init"))
+			preFork[i] = h.NewRef(ls.prefork[i].name)
+			preFork[i].Init(root, ls.prefork[i].init)
 		}
 		shared := make([]*live.Ref, s.SharedObjs)
 		for i := range shared {
-			shared[i] = h.NewRef(fmt.Sprintf("shared%d", i))
+			shared[i] = h.NewRef(ls.shared[i].name)
 		}
 		synced := make([]*live.Ref, s.SyncedObjs)
 		syncedWGs := make([]*sync.WaitGroup, s.SyncedObjs)
 		for i := range synced {
-			synced[i] = h.NewRef(fmt.Sprintf("synced%d", i))
+			synced[i] = h.NewRef(ls.synced[i].name)
 			syncedWGs[i] = &sync.WaitGroup{}
 			syncedWGs[i].Add(s.Threads - 1) // one Done per non-owner
 		}
@@ -65,27 +57,28 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 		handles := make([]*live.Handle, 0, s.Threads)
 		for ti := 0; ti < s.Threads; ti++ {
 			ti := ti
-			handles = append(handles, root.Spawn(fmt.Sprintf("worker%d", ti), func(t *live.Thread) {
+			handles = append(handles, root.Spawn(ls.worker[ti].name, func(t *live.Thread) {
+				ws := &ls.worker[ti]
 				// Plain uses of the fork-ordered population, right after
 				// the fork so they near-miss the pre-fork inits — the
 				// candidate class fork-clock pruning removes.
 				for pi := range preFork {
 					pause(t, spacing)
-					preFork[pi].Use(t, site("prefork", pi, "use", ti))
+					preFork[pi].Use(t, ls.prefork[pi].use[ti])
 				}
 
 				// Private object churn: instrumentation-site volume with
 				// no cross-thread pairs.
 				locals := make([]*live.Ref, s.LocalObjs)
 				for li := range locals {
-					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
-					locals[li].Init(t, site("w", ti, "local", li, "init"))
+					locals[li] = h.NewRef(ws.local[li].name)
+					locals[li].Init(t, ws.local[li].init)
 					for op := 0; op < s.LocalOps; op++ {
 						pause(t, spacing)
-						locals[li].Use(t, site("w", ti, "local", li, "use", op%s.SiteFanout))
+						locals[li].Use(t, ws.local[li].use[op%s.SiteFanout])
 					}
 					pause(t, spacing)
-					locals[li].Dispose(t, site("w", ti, "local", li, "disp"))
+					locals[li].Dispose(t, ws.local[li].disp)
 				}
 
 				// Synchronized-disposal objects: genuinely ordered
@@ -94,13 +87,13 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						pause(t, spacing)
-						synced[oi].Init(t, site("synced", oi, "init"))
+						synced[oi].Init(t, ls.synced[oi].init)
 						syncedWGs[oi].Wait()
 						pause(t, spacing)
-						synced[oi].Dispose(t, site("synced", oi, "disp"))
+						synced[oi].Dispose(t, ls.synced[oi].disp)
 					} else {
 						pause(t, spacing)
-						synced[oi].UseIfLive(t, site("synced", oi, "use", ti))
+						synced[oi].UseIfLive(t, ls.synced[oi].use[ti])
 						syncedWGs[oi].Done()
 					}
 				}
@@ -112,13 +105,13 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						pause(t, spacing)
-						shared[oi].Init(t, site("shared", oi, "init"))
+						shared[oi].Init(t, ls.shared[oi].init)
 						pause(t, spacing*max(1, s.SharedUses-1))
-						shared[oi].Dispose(t, site("shared", oi, "disp"))
+						shared[oi].Dispose(t, ls.shared[oi].disp)
 					} else {
 						for u := 0; u < s.SharedUses; u++ {
 							pause(t, spacing)
-							shared[oi].UseIfLive(t, site("shared", oi, "use", ti, u%s.SiteFanout))
+							shared[oi].UseIfLive(t, ls.shared[oi].uses[ti][u%s.SiteFanout])
 						}
 					}
 				}
@@ -128,7 +121,7 @@ func (s Spec) LiveBody() func(*live.Thread, *live.Heap) {
 			root.Join(hnd)
 		}
 		for i := range preFork {
-			preFork[i].Dispose(root, site("prefork", i, "disp"))
+			preFork[i].Dispose(root, ls.prefork[i].disp)
 		}
 	}
 }

@@ -54,36 +54,30 @@ func (s TaskSpec) withDefaults() TaskSpec {
 func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 	s = s.withDefaults()
 	return func(root *sim.Thread, h *memmodel.Heap) {
-		site := func(parts ...any) trace.SiteID {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return trace.SiteID(label)
-		}
+		ls := s.labels()
 		pool := sim.NewTaskPool(root, s.Workers, s.Prefix)
 
 		preSubmit := make([]*memmodel.Ref, s.PreSubmitObjs)
 		for i := range preSubmit {
-			preSubmit[i] = h.NewRef(fmt.Sprintf("pre%d", i))
-			preSubmit[i].Init(root, site("pre", i, "init"))
+			preSubmit[i] = h.NewRef(ls.pre[i].name)
+			preSubmit[i].Init(root, ls.pre[i].init)
 		}
 
 		for oi := 0; oi < s.SharedObjs; oi++ {
-			obj := h.NewRef(fmt.Sprintf("obj%d", oi))
-			oi := oi
+			ol := &ls.objs[oi]
+			obj := h.NewRef(ol.name)
 			initTask := pool.Submit(root, "init", func(t *sim.Thread) {
 				t.Work(s.Spacing)
-				obj.Init(t, site("obj", oi, "init"))
+				obj.Init(t, ol.init)
 			})
 			var useTasks []*sim.TaskHandle
 			for u := 0; u < s.UsesPerObj; u++ {
 				u := u
 				useTasks = append(useTasks, pool.Submit(root, "use", func(t *sim.Thread) {
 					t.Work(s.Spacing)
-					obj.UseIfLive(t, site("obj", oi, "use", u))
+					obj.UseIfLive(t, ol.use[u])
 					for pi := range preSubmit {
-						preSubmit[pi].Use(t, site("pre", pi, "use"))
+						preSubmit[pi].Use(t, ls.pre[pi].use[0])
 					}
 				}))
 			}
@@ -93,15 +87,49 @@ func (s TaskSpec) Body() func(*sim.Thread, *memmodel.Heap) {
 			}
 			dispose := pool.Submit(root, "dispose", func(t *sim.Thread) {
 				t.Work(s.Spacing)
-				obj.Dispose(t, site("obj", oi, "disp"))
+				obj.Dispose(t, ol.disp)
 			})
 			dispose.Wait(root)
 		}
 
 		for i := range preSubmit {
-			preSubmit[i].Dispose(root, site("pre", i, "disp"))
+			preSubmit[i].Dispose(root, ls.pre[i].disp)
 		}
 		pool.Shutdown(root)
 		pool.Join(root)
 	}
+}
+
+// taskLabels holds a TaskSpec body's reference names and site labels.
+type taskLabels struct {
+	pre  []objLabels // use[0] is the one use site
+	objs []objLabels // use indexed by use task
+}
+
+// labels builds the label tables of a defaulted spec.
+func (s TaskSpec) labels() *taskLabels {
+	site := func(parts ...any) trace.SiteID { return label(s.Prefix, parts...) }
+	ls := &taskLabels{}
+	ls.pre = make([]objLabels, s.PreSubmitObjs)
+	for i := range ls.pre {
+		ls.pre[i] = objLabels{
+			name: fmt.Sprintf("pre%d", i),
+			init: site("pre", i, "init"),
+			disp: site("pre", i, "disp"),
+			use:  []trace.SiteID{site("pre", i, "use")},
+		}
+	}
+	ls.objs = make([]objLabels, s.SharedObjs)
+	for oi := range ls.objs {
+		ls.objs[oi] = objLabels{
+			name: fmt.Sprintf("obj%d", oi),
+			init: site("obj", oi, "init"),
+			disp: site("obj", oi, "disp"),
+			use:  make([]trace.SiteID, s.UsesPerObj),
+		}
+		for u := range ls.objs[oi].use {
+			ls.objs[oi].use[u] = site("obj", oi, "use", u)
+		}
+	}
+	return ls
 }

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"waffle/internal/memmodel"
 	"waffle/internal/sim"
@@ -113,40 +114,34 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 	s = s.withDefaults()
 	return func(root *sim.Thread, h *memmodel.Heap) {
-		site := func(parts ...any) string {
-			label := s.Prefix
-			for _, p := range parts {
-				label += fmt.Sprintf("/%v", p)
-			}
-			return label
-		}
-
+		ls := s.labels()
 		preFork := make([]*memmodel.Ref, s.PreForkObjs)
 		for i := range preFork {
-			preFork[i] = h.NewRef(fmt.Sprintf("prefork%d", i))
-			preFork[i].Init(root, trace.SiteID(site("prefork", i, "init")))
+			preFork[i] = h.NewRef(ls.prefork[i].name)
+			preFork[i].Init(root, ls.prefork[i].init)
 		}
 		shared := make([]*memmodel.Ref, s.SharedObjs)
 		for i := range shared {
-			shared[i] = h.NewRef(fmt.Sprintf("shared%d", i))
+			shared[i] = h.NewRef(ls.shared[i].name)
 		}
 		synced := make([]*memmodel.Ref, s.SyncedObjs)
 		syncedWGs := make([]*sim.WaitGroup, s.SyncedObjs)
 		for i := range synced {
-			synced[i] = h.NewRef(fmt.Sprintf("synced%d", i))
+			synced[i] = h.NewRef(ls.synced[i].name)
 			syncedWGs[i] = &sim.WaitGroup{}
 			syncedWGs[i].Add(root, s.Threads-1) // one Done per non-owner
 		}
 		apiObjs := make([]*memmodel.Ref, s.APIObjs)
 		for i := range apiObjs {
-			apiObjs[i] = h.NewRef(fmt.Sprintf("api%d", i))
+			apiObjs[i] = h.NewRef(ls.api[i])
 		}
 
 		var wg sim.WaitGroup
 		for ti := 0; ti < s.Threads; ti++ {
 			ti := ti
 			wg.Add(root, 1)
-			root.Spawn(fmt.Sprintf("worker%d", ti), func(t *sim.Thread) {
+			root.Spawn(ls.worker[ti].name, func(t *sim.Thread) {
+				ws := &ls.worker[ti]
 				defer wg.Done(t)
 
 				// Plain uses of the fork-ordered population, right after
@@ -154,21 +149,21 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 				// candidate class §4.1's parent-child pruning removes.
 				for pi := range preFork {
 					t.Work(s.Spacing)
-					preFork[pi].Use(t, trace.SiteID(site("prefork", pi, "use", ti)))
+					preFork[pi].Use(t, ls.prefork[pi].use[ti])
 				}
 
 				// Private object churn: instrumentation-site volume with
 				// no cross-thread pairs.
 				locals := make([]*memmodel.Ref, s.LocalObjs)
 				for li := range locals {
-					locals[li] = h.NewRef(fmt.Sprintf("w%d-local%d", ti, li))
-					locals[li].Init(t, trace.SiteID(site("w", ti, "local", li, "init")))
+					locals[li] = h.NewRef(ws.local[li].name)
+					locals[li].Init(t, ws.local[li].init)
 					for op := 0; op < s.LocalOps; op++ {
 						t.Work(s.Spacing)
-						locals[li].Use(t, trace.SiteID(site("w", ti, "local", li, "use", op%s.SiteFanout)))
+						locals[li].Use(t, ws.local[li].use[op%s.SiteFanout])
 					}
 					t.Work(s.Spacing)
-					locals[li].Dispose(t, trace.SiteID(site("w", ti, "local", li, "disp")))
+					locals[li].Dispose(t, ws.local[li].disp)
 				}
 
 				// Thread-unsafe API traffic (threads are still roughly in
@@ -180,7 +175,7 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 						obj = apiObjs[c%s.APIObjs]
 					}
 					write := c%3 != 0
-					obj.APICall(t, trace.SiteID(site("api", ti, c%max(1, s.APISites))), write, s.APIDur)
+					obj.APICall(t, ws.api[c%len(ws.api)], write, s.APIDur)
 				}
 
 				// Synchronized-disposal objects: the owner initializes, the
@@ -191,13 +186,13 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						t.Work(s.Spacing)
-						synced[oi].Init(t, trace.SiteID(site("synced", oi, "init")))
+						synced[oi].Init(t, ls.synced[oi].init)
 						syncedWGs[oi].Wait(t)
 						t.Work(s.Spacing)
-						synced[oi].Dispose(t, trace.SiteID(site("synced", oi, "disp")))
+						synced[oi].Dispose(t, ls.synced[oi].disp)
 					} else {
 						t.Work(s.Spacing)
-						synced[oi].UseIfLive(t, trace.SiteID(site("synced", oi, "use", ti)))
+						synced[oi].UseIfLive(t, ls.synced[oi].use[ti])
 						syncedWGs[oi].Done(t)
 					}
 				}
@@ -213,13 +208,13 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 					owner := oi % s.Threads
 					if ti == owner {
 						t.Work(s.Spacing)
-						shared[oi].Init(t, trace.SiteID(site("shared", oi, "init")))
+						shared[oi].Init(t, ls.shared[oi].init)
 						t.Work(s.Spacing * sim.Duration(max(1, s.SharedUses-1)))
-						shared[oi].Dispose(t, trace.SiteID(site("shared", oi, "disp")))
+						shared[oi].Dispose(t, ls.shared[oi].disp)
 					} else {
 						for u := 0; u < s.SharedUses; u++ {
 							t.Work(s.Spacing)
-							shared[oi].UseIfLive(t, trace.SiteID(site("shared", oi, "use", ti, u%s.SiteFanout)))
+							shared[oi].UseIfLive(t, ls.shared[oi].uses[ti][u%s.SiteFanout])
 						}
 					}
 				}
@@ -227,7 +222,131 @@ func (s Spec) Body() func(*sim.Thread, *memmodel.Heap) {
 		}
 		wg.Wait(root)
 		for i := range preFork {
-			preFork[i].Dispose(root, trace.SiteID(site("prefork", i, "disp")))
+			preFork[i].Dispose(root, ls.prefork[i].disp)
 		}
 	}
+}
+
+// label renders a site label: prefix followed by "/part" for each part,
+// an int or a string — the text fmt.Sprintf("/%v", part) gives.
+func label(prefix string, parts ...any) trace.SiteID {
+	b := make([]byte, 0, 64)
+	b = append(b, prefix...)
+	for _, p := range parts {
+		b = append(b, '/')
+		switch v := p.(type) {
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		case string:
+			b = append(b, v...)
+		default:
+			panic(fmt.Sprintf("workload: label part %T", p))
+		}
+	}
+	return trace.SiteID(b)
+}
+
+// objLabels names one object of a generated body and its static sites.
+// use is indexed by thread (pre-fork and synced objects) or by use slot.
+type objLabels struct {
+	name       string
+	init, disp trace.SiteID
+	use        []trace.SiteID
+	uses       [][]trace.SiteID // shared objects: [thread][use % SiteFanout]
+}
+
+// workerLabels names one worker thread and its private sites.
+type workerLabels struct {
+	name  string
+	local []objLabels    // use indexed by op % SiteFanout
+	api   []trace.SiteID // indexed by call % max(1, APISites); nil without APIObjs
+}
+
+// specLabels holds every reference name and site label a Spec's body
+// uses. The body builds them once at the start of a run, so an access
+// only indexes a table. They are not kept across runs: a registry holds
+// hundreds of bodies, and keeping every body's tables would outweigh
+// everything else a campaign keeps in memory.
+type specLabels struct {
+	prefork, shared, synced []objLabels
+	api                     []string
+	worker                  []workerLabels
+}
+
+// labels builds the label tables of a defaulted spec.
+func (s Spec) labels() *specLabels {
+	site := func(parts ...any) trace.SiteID { return label(s.Prefix, parts...) }
+	threads := func(f func(ti int) trace.SiteID) []trace.SiteID {
+		out := make([]trace.SiteID, s.Threads)
+		for ti := range out {
+			out[ti] = f(ti)
+		}
+		return out
+	}
+	ls := &specLabels{
+		prefork: make([]objLabels, s.PreForkObjs),
+		shared:  make([]objLabels, s.SharedObjs),
+		synced:  make([]objLabels, s.SyncedObjs),
+		api:     make([]string, s.APIObjs),
+		worker:  make([]workerLabels, s.Threads),
+	}
+	for i := range ls.prefork {
+		ls.prefork[i] = objLabels{
+			name: fmt.Sprintf("prefork%d", i),
+			init: site("prefork", i, "init"),
+			disp: site("prefork", i, "disp"),
+			use:  threads(func(ti int) trace.SiteID { return site("prefork", i, "use", ti) }),
+		}
+	}
+	for i := range ls.shared {
+		o := objLabels{
+			name: fmt.Sprintf("shared%d", i),
+			init: site("shared", i, "init"),
+			disp: site("shared", i, "disp"),
+			uses: make([][]trace.SiteID, s.Threads),
+		}
+		for ti := range o.uses {
+			o.uses[ti] = make([]trace.SiteID, s.SiteFanout)
+			for f := range o.uses[ti] {
+				o.uses[ti][f] = site("shared", i, "use", ti, f)
+			}
+		}
+		ls.shared[i] = o
+	}
+	for i := range ls.synced {
+		ls.synced[i] = objLabels{
+			name: fmt.Sprintf("synced%d", i),
+			init: site("synced", i, "init"),
+			disp: site("synced", i, "disp"),
+			use:  threads(func(ti int) trace.SiteID { return site("synced", i, "use", ti) }),
+		}
+	}
+	for i := range ls.api {
+		ls.api[i] = fmt.Sprintf("api%d", i)
+	}
+	for ti := range ls.worker {
+		w := workerLabels{
+			name:  fmt.Sprintf("worker%d", ti),
+			local: make([]objLabels, s.LocalObjs),
+		}
+		if s.APIObjs > 0 {
+			w.api = make([]trace.SiteID, max(1, s.APISites))
+		}
+		for li := range w.local {
+			w.local[li] = objLabels{
+				name: fmt.Sprintf("w%d-local%d", ti, li),
+				init: site("w", ti, "local", li, "init"),
+				disp: site("w", ti, "local", li, "disp"),
+				use:  make([]trace.SiteID, s.SiteFanout),
+			}
+			for f := range w.local[li].use {
+				w.local[li].use[f] = site("w", ti, "local", li, "use", f)
+			}
+		}
+		for c := range w.api {
+			w.api[c] = site("api", ti, c)
+		}
+		ls.worker[ti] = w
+	}
+	return ls
 }
