@@ -1,55 +1,49 @@
-// Benchmarks for the trace analyzer: sequential, sharded (-parallel-analyze),
-// and streaming, all over the suite's largest preparation trace. Run with
+// Benchmarks for the trace analyzer (materialized and streaming) over the
+// suite's preparation traces, plus the recorder hot path. Run with
 //
 //	go test -bench Analyze -benchtime 1x .
-//
-// The speedup benchmark reports the measured sequential/parallel wall-clock
-// ratio as a metric rather than asserting it: on a single-core host
-// (GOMAXPROCS=1) the sharded analyzer cannot beat the sequential one — the
-// shard/merge structure is pure overhead without parallel execution — so the
-// ratio is only meaningful alongside the reported gomaxprocs value.
 package waffle_test
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"waffle/internal/apps"
 	"waffle/internal/core"
 	"waffle/internal/sim"
 	"waffle/internal/trace"
 	"waffle/internal/vclock"
 )
 
-// bigTrace caches the largest preparation trace in the benchmark suite
-// (currently NpgSQL/test-018, ~1.3k events); the scan over every test runs
-// once per `go test` process.
-var bigTrace struct {
-	once sync.Once
-	tr   *trace.Trace
-	name string
+// suiteTraces caches every seed-1 suite preparation trace for
+// BenchmarkAnalyzeSuite, and the largest of them for the other analyzer
+// benchmarks and the allocation gate.
+var suiteTraces struct {
+	all, largest sync.Once
+	trs          []*trace.Trace
+	big          *trace.Trace
 }
 
+func suitePrepTraces(tb testing.TB) []*trace.Trace {
+	tb.Helper()
+	suiteTraces.all.Do(func() {
+		eachSuitePrepTrace(tb, func(tr *trace.Trace) { suiteTraces.trs = append(suiteTraces.trs, tr) })
+	})
+	return suiteTraces.trs
+}
+
+// largestPrepTrace returns the largest seed-1 suite preparation trace
+// (NpgSQL/test-018, 1261 events).
 func largestPrepTrace(tb testing.TB) *trace.Trace {
 	tb.Helper()
-	bigTrace.once.Do(func() {
-		for _, app := range apps.Registry() {
-			for _, test := range app.Tests {
-				tr := prepTraceOf(tb, test, 11)
-				if bigTrace.tr == nil || len(tr.Events) > len(bigTrace.tr.Events) {
-					bigTrace.tr, bigTrace.name = tr, test.Name
-				}
+	suiteTraces.largest.Do(func() {
+		eachSuitePrepTrace(tb, func(tr *trace.Trace) {
+			if suiteTraces.big == nil || len(tr.Events) > len(suiteTraces.big.Events) {
+				suiteTraces.big = tr
 			}
-		}
+		})
 	})
-	if bigTrace.tr == nil {
-		tb.Fatal("no preparation trace found")
-	}
-	return bigTrace.tr
+	return suiteTraces.big
 }
 
 // reportEventRate publishes analyzer/recorder throughput: events consumed
@@ -71,17 +65,27 @@ func BenchmarkAnalyzeSequential(b *testing.B) {
 	reportEventRate(b, len(tr.Events))
 }
 
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	tr := largestPrepTrace(b)
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.AnalyzeParallel(tr, core.Options{}, workers)
-			}
-			reportEventRate(b, len(tr.Events))
-		})
+// planSink keeps benchmarked analyses observable to the compiler.
+var planSink *core.Plan
+
+// BenchmarkAnalyzeSuite analyzes every suite test's preparation trace
+// once per op: the traffic a per-input scan (Tables 5-6) puts through the
+// analyzer, 935 traces of ~550 events on average.
+func BenchmarkAnalyzeSuite(b *testing.B) {
+	trs := suitePrepTraces(b)
+	events := 0
+	for _, tr := range trs {
+		events += len(tr.Events)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range trs {
+			planSink = core.Analyze(tr, core.Options{})
+		}
+	}
+	b.ReportMetric(float64(len(trs)), "traces")
+	reportEventRate(b, events)
 }
 
 func BenchmarkAnalyzeStream(b *testing.B) {
@@ -100,28 +104,6 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 		}
 	}
 	reportEventRate(b, len(tr.Events))
-}
-
-// BenchmarkAnalyzeSpeedupAt4Workers times the sequential and the 4-worker
-// sharded analyzer back to back on the same trace and reports their ratio.
-// Read speedup-x together with gomaxprocs: ≥2 is the target on a 4-core
-// host, while gomaxprocs=1 pins the ratio below 1 by construction.
-func BenchmarkAnalyzeSpeedupAt4Workers(b *testing.B) {
-	tr := largestPrepTrace(b)
-	var seq, par time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		core.Analyze(tr, core.Options{})
-		seq += time.Since(t0)
-		t1 := time.Now()
-		core.AnalyzeParallel(tr, core.Options{}, 4)
-		par += time.Since(t1)
-	}
-	if par > 0 {
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup-x")
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
 // BenchmarkRecorderRecord measures the recording hot path: RecordEvent
@@ -148,52 +130,16 @@ func BenchmarkRecorderRecord(b *testing.B) {
 	reportEventRate(b, 1)
 }
 
-// rerecordedTrace simulates the next campaign's preparation run over an
-// unchanged program: identical event content in a fresh slice, clock
-// pointers shared — exactly what re-recording a deterministic run yields.
-func rerecordedTrace(tr *trace.Trace) *trace.Trace {
-	return &trace.Trace{
-		Label:  tr.Label,
-		Seed:   tr.Seed,
-		End:    tr.End,
-		Events: append([]trace.Event(nil), tr.Events...),
-	}
-}
-
-// BenchmarkAnalyzeIncrementalClean measures re-analysis of an unchanged
-// trace — the repeated-campaign fast path where every object folds from
-// the cache and every instance replays its recorded edges.
-func BenchmarkAnalyzeIncrementalClean(b *testing.B) {
-	tr := largestPrepTrace(b)
-	tr2 := rerecordedTrace(tr)
-	prev := core.AnalyzeIncremental(nil, nil, tr, core.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.AnalyzeIncremental(prev, tr, tr2, core.Options{})
-	}
-	reportEventRate(b, len(tr2.Events))
-}
-
-// BenchmarkAnalyzeIncrementalSpeedup times a from-scratch Analyze and a
-// clean incremental re-analysis back to back on the same trace and reports
-// their ratio — the repeated-campaign win published to BENCH_analyze.json
-// (target: ≥3× on the largest built-in trace).
-func BenchmarkAnalyzeIncrementalSpeedup(b *testing.B) {
-	tr := largestPrepTrace(b)
-	tr2 := rerecordedTrace(tr)
-	prev := core.AnalyzeIncremental(nil, nil, tr, core.Options{})
-	var full, inc time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		core.Analyze(tr2, core.Options{})
-		full += time.Since(t0)
-		t1 := time.Now()
-		core.AnalyzeIncremental(prev, tr, tr2, core.Options{})
-		inc += time.Since(t1)
-	}
-	if inc > 0 {
-		b.ReportMetric(full.Seconds()/inc.Seconds(), "speedup-x")
+// The allocation gate: analyzing the largest suite trace (NpgSQL/test-018,
+// 1261 events) allocates at most a third of what the string-keyed analyzer
+// it replaced did. That analyzer measured 4197 allocations per call on
+// this trace, so the gate is 1399.
+func TestAnalyzeLargestSuiteTraceAllocGate(t *testing.T) {
+	tr := largestPrepTrace(t)
+	const parentAllocs = 4197
+	got := testing.AllocsPerRun(20, func() { core.Analyze(tr, core.Options{}) })
+	t.Logf("%s: %d events, %.0f allocs per Analyze (gate %d)", tr.Label, len(tr.Events), got, parentAllocs/3)
+	if got > parentAllocs/3 {
+		t.Fatalf("Analyze allocated %.0f times on %s, gate is %d (a third of %d)", got, tr.Label, parentAllocs/3, parentAllocs)
 	}
 }

@@ -1,8 +1,6 @@
-// Bit-identity of the sharded, streaming, and incremental analyzers
-// against the sequential one, over the preparation trace of every built-in
-// bug input. This is the contract that makes -parallel-analyze (and
-// incremental re-analysis between campaigns) safe to enable anywhere: the
-// JSON-encoded plans are compared byte for byte.
+// Bit-identity of the streaming analyzer against Analyze over the
+// preparation trace of every built-in bug input: the JSON-encoded plans
+// are compared byte for byte.
 package waffle_test
 
 import (
@@ -41,21 +39,13 @@ func encodePlan(tb testing.TB, plan *core.Plan) []byte {
 	return buf.Bytes()
 }
 
-func TestShardedAndStreamingAnalysisBitIdenticalOnAllApps(t *testing.T) {
+func TestStreamingAnalysisBitIdenticalOnAllApps(t *testing.T) {
 	for _, test := range apps.AllBugs() {
 		tr := prepTraceOf(t, test, 11)
 		if !tr.TimeSorted() {
 			t.Fatalf("%s: preparation trace not time-sorted", test.Name)
 		}
 		want := encodePlan(t, core.Analyze(tr, core.Options{}))
-
-		for _, workers := range []int{2, 4, 8} {
-			got := encodePlan(t, core.AnalyzeParallel(tr, core.Options{}, workers))
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: %d-worker plan diverged from sequential (%d vs %d bytes)",
-					test.Name, workers, len(got), len(want))
-			}
-		}
 
 		var stream bytes.Buffer
 		if err := tr.WriteStream(&stream); err != nil {
@@ -66,25 +56,8 @@ func TestShardedAndStreamingAnalysisBitIdenticalOnAllApps(t *testing.T) {
 			t.Fatalf("%s: streaming analysis: %v", test.Name, err)
 		}
 		if got := encodePlan(t, plan); !bytes.Equal(got, want) {
-			t.Errorf("%s: streamed plan diverged from sequential (%d vs %d bytes)",
+			t.Errorf("%s: streamed plan diverged from Analyze (%d vs %d bytes)",
 				test.Name, len(got), len(want))
-		}
-
-		// Incremental: the bootstrap (no previous campaign) must match the
-		// sequential plan, and re-analysis against a second campaign's trace
-		// — a fresh preparation run under a different seed — must match a
-		// from-scratch Analyze of that trace.
-		boot := core.AnalyzeIncremental(nil, nil, tr, core.Options{})
-		if got := encodePlan(t, boot); !bytes.Equal(got, want) {
-			t.Errorf("%s: incremental bootstrap diverged from sequential (%d vs %d bytes)",
-				test.Name, len(got), len(want))
-		}
-		tr2 := prepTraceOf(t, test, 12)
-		want2 := encodePlan(t, core.Analyze(tr2, core.Options{}))
-		got2 := encodePlan(t, core.AnalyzeIncremental(boot, tr, tr2, core.Options{}))
-		if !bytes.Equal(got2, want2) {
-			t.Errorf("%s: incremental re-analysis diverged from sequential (%d vs %d bytes)",
-				test.Name, len(got2), len(want2))
 		}
 	}
 }

@@ -68,7 +68,7 @@ type liveBench struct {
 }
 
 // runLive drives the live detector against a built-in demo.
-func runLive(name string, maxRuns, panalyze int, sample float64, reportPath, planPath, tracePath, benchPath string, mc *metricsConfig, ctrl *control.Controller) {
+func runLive(name string, maxRuns int, sample float64, reportPath, planPath, tracePath, benchPath string, mc *metricsConfig, ctrl *control.Controller) {
 	demo, ok := live.FindDemo(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "waffle: unknown live demo %q (try -live-list)\n", name)
@@ -79,7 +79,7 @@ func runLive(name string, maxRuns, panalyze int, sample float64, reportPath, pla
 		os.Exit(2)
 	}
 
-	opts := live.Options{AnalyzeWorkers: panalyze, SampleRate: sample, Metrics: mc.reg}
+	opts := live.Options{SampleRate: sample, Metrics: mc.reg}
 	tgt := ctrl.Target(name + "/waffle-live")
 	if tgt != nil {
 		opts.Tuner = tgt

@@ -40,7 +40,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base seed; run i uses seed+i-1")
 		replay   = flag.Bool("replay", false, "after exposing a bug, validate it with a minimal deterministic replay")
 		parallel = flag.Int("parallel", 1, "worker goroutines for detection runs (result identical to sequential)")
-		panalyze = flag.Int("parallel-analyze", 0, "worker goroutines for trace analysis (plan bit-identical to sequential; 0 or 1 = sequential)")
 		jsonOut  = flag.String("report", "", "write the bug report as JSON to this path")
 		planOut  = flag.String("plan", "", "write the analyzed plan (candidate set S, interference set I, delay lengths) as JSON")
 		traceOut = flag.String("trace", "", "write the preparation-run trace (binary)")
@@ -80,7 +79,7 @@ func main() {
 	}
 	if *liveName != "" {
 		rejectSimOnlyFlags()
-		runLive(*liveName, *maxRuns, *panalyze, *liveSample, *jsonOut, *planOut, *traceOut, *liveBench, mc, ctrl)
+		runLive(*liveName, *maxRuns, *liveSample, *jsonOut, *planOut, *traceOut, *liveBench, mc, ctrl)
 		ctrlDone()
 		return
 	}
@@ -93,7 +92,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *suite != "" {
-		runSuite(*suite, *toolName, *maxRuns, *seed, *parallel, *panalyze, mc, ctrl)
+		runSuite(*suite, *toolName, *maxRuns, *seed, *parallel, mc, ctrl)
 		ctrlDone()
 		return
 	}
@@ -112,11 +111,11 @@ func main() {
 	var wtool *core.Waffle
 	switch *toolName {
 	case "waffle":
-		wtool = core.NewWaffle(core.Options{AnalyzeWorkers: *panalyze, Metrics: mc.reg})
+		wtool = core.NewWaffle(core.Options{Metrics: mc.reg})
 		wtool.SetLabel(test.Name)
 		tool = wtool
 	case "waffle-noprep":
-		tool = core.NewWaffle(core.Options{DisablePrepRun: true, AnalyzeWorkers: *panalyze, Metrics: mc.reg})
+		tool = core.NewWaffle(core.Options{DisablePrepRun: true, Metrics: mc.reg})
 	case "basic":
 		tool = wafflebasic.New(core.Options{Metrics: mc.reg})
 	default:
@@ -264,7 +263,7 @@ func newController(enabled bool, logPath string) (*control.Controller, func()) {
 // runSuite exposes bugs across one application's whole test suite — the
 // evaluation's usage mode: "we ran both tools using every multi-threaded
 // test case in the test suites of each application" (§6.1).
-func runSuite(appName, toolName string, maxRuns int, seed int64, parallel, panalyze int, mc *metricsConfig, ctrl *control.Controller) {
+func runSuite(appName, toolName string, maxRuns int, seed int64, parallel int, mc *metricsConfig, ctrl *control.Controller) {
 	app := apps.ByName(appName)
 	if app == nil {
 		fmt.Fprintf(os.Stderr, "waffle: unknown application %q (try -list)\n", appName)
@@ -273,9 +272,9 @@ func runSuite(appName, toolName string, maxRuns int, seed int64, parallel, panal
 	mkTool := func() core.Tool {
 		switch toolName {
 		case "waffle":
-			return core.NewWaffle(core.Options{AnalyzeWorkers: panalyze, Metrics: mc.reg})
+			return core.NewWaffle(core.Options{Metrics: mc.reg})
 		case "waffle-noprep":
-			return core.NewWaffle(core.Options{DisablePrepRun: true, AnalyzeWorkers: panalyze, Metrics: mc.reg})
+			return core.NewWaffle(core.Options{DisablePrepRun: true, Metrics: mc.reg})
 		case "basic":
 			return wafflebasic.New(core.Options{Metrics: mc.reg})
 		default:

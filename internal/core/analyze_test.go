@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"waffle/internal/sim"
@@ -340,4 +341,36 @@ func TestBugKindString(t *testing.T) {
 	if UseBeforeInit.String() != "use-before-init" || UseAfterFree.String() != "use-after-free" {
 		t.Fatal("bug kind names wrong")
 	}
+}
+
+// Analyses running at once must not share working memory: each
+// goroutine's plans equal the sequential ones. Run under -race.
+func TestAnalyzeConcurrentCallsIndependent(t *testing.T) {
+	var trs []*trace.Trace
+	var want [][]byte
+	for seed := int64(1); seed <= 8; seed++ {
+		tr := genTrace(seed, 60+int(seed)*20)
+		trs = append(trs, tr)
+		want = append(want, planBytes(t, Analyze(tr, Options{})))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(trs)
+				var buf bytes.Buffer
+				if err := Analyze(trs[i], Options{}).WriteJSON(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Errorf("goroutine %d: plan of trace %d diverged under concurrency", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

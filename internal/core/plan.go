@@ -82,12 +82,6 @@ type Plan struct {
 	// Probs carries each injection site's current injection probability,
 	// decayed across detection runs and persisted between them (§5).
 	Probs map[trace.SiteID]float64
-
-	// inc is AnalyzeIncremental's per-object analysis cache. It is
-	// immutable once built, shared (not copied) by Clone, and deliberately
-	// absent from the JSON wire form: a plan loaded from disk simply
-	// re-analyzes from scratch on its first incremental call.
-	inc *incState
 }
 
 // InjectionSites returns the distinct delay sites of the plan, sorted.
@@ -137,7 +131,6 @@ func (p *Plan) Clone() *Plan {
 		DelayLen:  make(map[trace.SiteID]sim.Duration, len(p.DelayLen)),
 		Interfere: make(map[trace.SiteID][]trace.SiteID, len(p.Interfere)),
 		Probs:     make(map[trace.SiteID]float64, len(p.Probs)),
-		inc:       p.inc,
 	}
 	for k, v := range p.DelayLen {
 		c.DelayLen[k] = v

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"time"
 
 	"waffle/internal/control"
 	"waffle/internal/core"
@@ -129,11 +128,6 @@ type ProgramDiff struct {
 	// and disarmed sessions included.
 	RunsUsed   map[string]int `json:"runs_used"`
 	Violations []string       `json:"violations,omitempty"`
-	// ReanalyzeFullNS and ReanalyzeIncNS time the second campaign's
-	// re-analysis of this program's repeated preparation trace:
-	// from-scratch Analyze vs AnalyzeIncremental seeded by campaign 1.
-	ReanalyzeFullNS int64 `json:"reanalyze_full_ns,omitempty"`
-	ReanalyzeIncNS  int64 `json:"reanalyze_inc_ns,omitempty"`
 }
 
 // ToolDiffSummary aggregates one tool over the corpus. MeanRuns (and its
@@ -181,12 +175,8 @@ type DiffReport struct {
 	Violations []string `json:"violations,omitempty"`
 	// ReproOK reports that every program regenerated byte-identically and
 	// its preparation trace and plans were bit-reproducible across
-	// Analyze, AnalyzeParallel, AnalyzeStream, and AnalyzeIncremental.
+	// Analyze and AnalyzeStream.
 	ReproOK bool `json:"repro_ok"`
-	// Reanalysis aggregates the repeated-campaign re-analysis timing over
-	// the corpus: total wall-clock for from-scratch vs incremental
-	// re-analysis of every program's second preparation trace.
-	Reanalysis *ReanalysisStats `json:"reanalysis,omitempty"`
 	// Metrics is the campaign observability snapshot taken at the end of
 	// the sweep, present when DiffOptions.Metrics was set. Its delay and
 	// run counters cover every session the sweep drove.
@@ -195,27 +185,6 @@ type DiffReport struct {
 	// finished: Results covers the committed prefix only, and the
 	// summaries describe that prefix, not the full corpus.
 	Cancelled bool `json:"cancelled,omitempty"`
-}
-
-// ReanalysisStats is the corpus-wide repeated-campaign measurement: how
-// long re-analyzing every program's second preparation trace took from
-// scratch versus incrementally.
-type ReanalysisStats struct {
-	FullNS        int64   `json:"full_ns"`
-	IncrementalNS int64   `json:"incremental_ns"`
-	Speedup       float64 `json:"speedup"` // FullNS / IncrementalNS
-}
-
-// StripTiming zeroes the report's wall-clock measurements (per-program and
-// aggregate re-analysis timing). Everything else in the report is
-// deterministic for a fixed seed; callers that byte-compare reports across
-// invocations normalize with this first.
-func (r *DiffReport) StripTiming() {
-	for i := range r.Results {
-		r.Results[i].ReanalyzeFullNS = 0
-		r.Results[i].ReanalyzeIncNS = 0
-	}
-	r.Reanalysis = nil
 }
 
 // Summary returns the named tool's corpus summary.
@@ -259,7 +228,6 @@ func RunDifferentialCtx(ctx context.Context, o DiffOptions) *DiffReport {
 	delays := make(map[string]int)
 	exposed := make(map[string]int)
 	sessions := make(map[string]int)
-	var reanalyzeFull, reanalyzeInc int64
 
 	_, runErr := sched.RunCtx(ctx, pool, 0, o.Programs-1, func(jctx context.Context, i int) (*ProgramDiff, error) {
 		return o.diffProgram(jctx, i), nil
@@ -271,8 +239,6 @@ func RunDifferentialCtx(ctx context.Context, o DiffOptions) *DiffReport {
 		pd := res.Value
 		rep.Results = append(rep.Results, *pd)
 		rep.Violations = append(rep.Violations, pd.Violations...)
-		reanalyzeFull += pd.ReanalyzeFullNS
-		reanalyzeInc += pd.ReanalyzeIncNS
 		for tool, n := range pd.RunsUsed {
 			totalRuns[tool] += n
 		}
@@ -334,13 +300,6 @@ func RunDifferentialCtx(ctx context.Context, o DiffOptions) *DiffReport {
 	if len(rep.Violations) > 0 {
 		rep.ReproOK = false
 	}
-	if reanalyzeInc > 0 {
-		rep.Reanalysis = &ReanalysisStats{
-			FullNS:        reanalyzeFull,
-			IncrementalNS: reanalyzeInc,
-			Speedup:       float64(reanalyzeFull) / float64(reanalyzeInc),
-		}
-	}
 	rep.Metrics = o.Metrics.Snapshot()
 	return rep
 }
@@ -385,11 +344,9 @@ func (o DiffOptions) diffProgram(ctx context.Context, i int) *ProgramDiff {
 		return newDiffTool(name, o.Metrics, o.TSO), nil
 	}
 
-	fullNS, incNS, err := checkReproducible(p, cfg)
-	if err != nil {
+	if err := checkReproducible(p, cfg); err != nil {
 		fail("%v", err)
 	}
-	pd.ReanalyzeFullNS, pd.ReanalyzeIncNS = fullNS, incNS
 
 	// Armed sessions: each planted bug in isolation, under each tool.
 	for _, bug := range m.Bugs {
@@ -476,102 +433,56 @@ func (o DiffOptions) diffProgram(ctx context.Context, i int) *ProgramDiff {
 
 // checkReproducible asserts the per-seed bit-reproducibility claims:
 // regeneration is byte-identical (script and manifest), the preparation
-// trace is byte-identical across executions with one seed, and all four
-// analyzers — sequential, sharded, streaming, and incremental — produce
-// byte-identical plans from it. The two preparation runs double as a
-// repeated-campaign measurement: the returned timing compares a
-// from-scratch Analyze of the second trace against an incremental
-// re-analysis seeded by the first campaign's plan.
-func checkReproducible(p *genprog.Program, cfg genprog.Config) (fullNS, incNS int64, err error) {
+// trace is byte-identical across executions with one seed, and the
+// streaming analyzer's plan is Analyze's, byte for byte.
+func checkReproducible(p *genprog.Program, cfg genprog.Config) error {
 	aopts := core.Options{TSO: cfg.TSO}
 	q := genprog.Generate(cfg)
 	if p.Fingerprint() != q.Fingerprint() {
-		return 0, 0, fmt.Errorf("regeneration diverged for seed %d", cfg.Seed)
+		return fmt.Errorf("regeneration diverged for seed %d", cfg.Seed)
 	}
 	if !bytes.Equal(p.Manifest().JSON(), q.Manifest().JSON()) {
-		return 0, 0, fmt.Errorf("manifest regeneration diverged for seed %d", cfg.Seed)
+		return fmt.Errorf("manifest regeneration diverged for seed %d", cfg.Seed)
 	}
 
 	prepSeed := cfg.Seed*31 + 7
 	tr1, err := diffPrepTrace(p, prepSeed)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	tr2, err := diffPrepTrace(p, prepSeed)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	var b1, b2 bytes.Buffer
 	if err := tr1.WriteBinary(&b1); err != nil {
-		return 0, 0, fmt.Errorf("encode trace: %w", err)
+		return fmt.Errorf("encode trace: %w", err)
 	}
 	if err := tr2.WriteBinary(&b2); err != nil {
-		return 0, 0, fmt.Errorf("encode trace: %w", err)
+		return fmt.Errorf("encode trace: %w", err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		return 0, 0, fmt.Errorf("preparation trace not reproducible at seed %d", prepSeed)
+		return fmt.Errorf("preparation trace not reproducible at seed %d", prepSeed)
 	}
 
-	encode := func(plan *core.Plan) ([]byte, error) {
-		var buf bytes.Buffer
-		err := plan.WriteJSON(&buf)
-		return buf.Bytes(), err
+	var want, got, stream bytes.Buffer
+	if err := core.Analyze(tr1, aopts).WriteJSON(&want); err != nil {
+		return err
 	}
-	boot := core.AnalyzeIncremental(nil, nil, tr1, aopts)
-	want, err := encode(core.Analyze(tr1, aopts))
-	if err != nil {
-		return 0, 0, err
-	}
-	par, err := encode(core.AnalyzeParallel(tr1, aopts, 4))
-	if err != nil {
-		return 0, 0, err
-	}
-	if !bytes.Equal(want, par) {
-		return 0, 0, fmt.Errorf("AnalyzeParallel plan diverged from Analyze at seed %d", prepSeed)
-	}
-	var stream bytes.Buffer
 	if err := tr1.WriteStream(&stream); err != nil {
-		return 0, 0, fmt.Errorf("write stream: %w", err)
+		return fmt.Errorf("write stream: %w", err)
 	}
-	sp, err := core.AnalyzeStream(bytes.NewReader(stream.Bytes()), aopts)
+	sp, err := core.AnalyzeStream(&stream, aopts)
 	if err != nil {
-		return 0, 0, fmt.Errorf("streaming analysis: %w", err)
+		return fmt.Errorf("streaming analysis: %w", err)
 	}
-	got, err := encode(sp)
-	if err != nil {
-		return 0, 0, err
+	if err := sp.WriteJSON(&got); err != nil {
+		return err
 	}
-	if !bytes.Equal(want, got) {
-		return 0, 0, fmt.Errorf("AnalyzeStream plan diverged from Analyze at seed %d", prepSeed)
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		return fmt.Errorf("AnalyzeStream plan diverged from Analyze at seed %d", prepSeed)
 	}
-	bb, err := encode(boot)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !bytes.Equal(want, bb) {
-		return 0, 0, fmt.Errorf("AnalyzeIncremental bootstrap diverged from Analyze at seed %d", prepSeed)
-	}
-
-	// Second campaign over the re-recorded trace: from-scratch vs
-	// incremental, timed, and still byte-identical.
-	t0 := time.Now()
-	fullPlan := core.Analyze(tr2, aopts)
-	fullNS = time.Since(t0).Nanoseconds()
-	t1 := time.Now()
-	incPlan := core.AnalyzeIncremental(boot, tr1, tr2, aopts)
-	incNS = time.Since(t1).Nanoseconds()
-	want2, err := encode(fullPlan)
-	if err != nil {
-		return 0, 0, err
-	}
-	got2, err := encode(incPlan)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !bytes.Equal(want2, got2) {
-		return 0, 0, fmt.Errorf("AnalyzeIncremental re-analysis diverged from Analyze at seed %d", prepSeed)
-	}
-	return fullNS, incNS, nil
+	return nil
 }
 
 // diffPrepTrace performs one delay-free preparation run and returns its
